@@ -73,7 +73,7 @@ impl Site {
 }
 
 /// A site's totals, detached from the probe.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Timing {
     /// Calls made.
     pub calls: u64,
