@@ -48,59 +48,21 @@
 //! `shard(p) = hash(node_id) mod G` ([`shard_of_node`]) and answers a
 //! (non-full) [`SpaceMsg::JoinAll`] only for the keys of *its* shard
 //! (`key mod G`), so one reply carries `K/G` entries. The joiner still
-//! broadcasts a single inquiry; it tracks, per shard, the distinct
-//! responders whose [`SpaceMsg::Batch`]es covered that shard's keys, and
-//! the shared join timer only activates the keys of shards that met the
-//! configured per-shard quorum — shards still short keep their instances
-//! joining and the timer **re-fires the inquiry** (re-arming itself) until
-//! every shard has answered. A re-inquiry is *full* (`full: true`): any
-//! active process answers for all keys, so one starved shard degrades a
-//! join to the legacy full-state transfer for one extra round instead of
-//! wedging it — availability falls back to the paper's argument while the
-//! common case pays `1/G` of the payload.
+//! broadcasts a single inquiry and activates a shard's keys only once
+//! that shard met its per-shard reply quorum. Quorum-based protocols (ES)
+//! size the per-key join quorum to the shard (`EsConfig::join_quorum`) —
+//! the quorum-per-shard liveness trade the fleet tier's phase diagrams
+//! measure. `G = 1` is the legacy full-reply handshake, bit for bit.
 //!
-//! Quorum-based protocols (ES) set no join timers; a sharded space arms
-//! its own re-inquiry timer ([`ShardConfig::reinquire_every`]) instead,
-//! and the per-key join quorum is sized to the shard
-//! (`EsConfig::join_quorum`) — the quorum-per-shard liveness trade the
-//! fleet tier's phase diagrams measure.
+//! # Join handshake lifecycle
 //!
-//! `G = 1` is the legacy full-reply handshake, bit for bit: every gate,
-//! filter and fallback below is conditioned on `groups > 1`, and the
-//! equivalence property tests plus the CI `cmp` gate hold the digest
-//! identity.
-//!
-//! # Loss-tolerant join retransmission
-//!
-//! The paper assumes reliable channels, so a lost inquiry or reply is a
-//! case its join never handles: a sync joiner blind-activates at `⊥` and a
-//! quorum-driven (ES) joiner wedges **forever**. [`RetransmitConfig`]
-//! bounds that gap for unsharded (`G = 1`) handshakes — sharded spaces
-//! already re-fire via the withheld-expiry/re-inquiry machinery above:
-//!
-//! * **Timer-driven joins** (sync): when the post-inquiry wait expires
-//!   with *zero* replies gathered ([`RegisterProcess::join_replies`]), the
-//!   space re-fires the inquiry and re-arms the same wait instead of
-//!   dispatching the expiry, up to [`RetransmitConfig::budget`] times per
-//!   join; the budget exhausted, the expiry dispatches normally and the
-//!   paper's blind `⊥` activation proceeds.
-//! * **Timer-less joins** (ES): the space arms its own silence timer
-//!   ([`RETRANSMIT_TAG`]); each expiry with no new replies since the last
-//!   beat re-broadcasts the inquiry and doubles the wait (capped after
-//!   `budget` doublings — the "current timeout estimate"), so a joiner
-//!   whose handshake was swallowed converges within a bounded number of
-//!   rounds once the network turns lossless.
-//!
-//! Every retransmission is marked by a digest-invisible
-//! [`SpaceEffect::Retransmit`] so the runtime can count
-//! `join.retransmits` without parsing wire labels. Responders are
-//! idempotent by construction: a re-received inquiry is re-answered from
-//! current state, and duplicate `Batch` replies never double-count a
-//! shard quorum (`shard_heard` is a set per shard).
-//!
-//! The full wire-level lifecycle (message grammar, shard striping, the
-//! retransmit state machine) is specified in `docs/PROTOCOL.md` at the
-//! repository root.
+//! The paper's join assumes reliable channels. Both adapters hand their
+//! join-phase steps to one joiner-side state machine that re-fires a
+//! stalled inquiry — a shard starved of replies (`G > 1`), or a handshake
+//! swallowed by message loss under a [`RetransmitConfig`] (`G = 1`) —
+//! from one reserved timer ([`RETRANSMIT_TAG`]). The lifecycle, its two
+//! policies and their guarantees are specified in "Join handshake
+//! lifecycle" of `docs/PROTOCOL.md` at the repository root.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -196,9 +158,9 @@ pub enum SpaceEffect<M, V> {
         text: String,
     },
     /// The join handshake was re-fired after silence (see the module's
-    /// "Loss-tolerant join retransmission"). A marker, not a message: the
-    /// runtime counts it (`join.retransmits`) and annotates the join span,
-    /// but it is invisible to the event stream and the run digest.
+    /// "Join handshake lifecycle"). A marker, not a message: the runtime
+    /// counts it (`join.retransmits`) and annotates the join span, but it
+    /// is invisible to the event stream and the run digest.
     Retransmit,
 }
 
@@ -275,6 +237,228 @@ pub trait RegisterSpaceProcess: fmt::Debug {
     ) -> Vec<SpaceEffect<Self::Msg, Self::Val>>;
 }
 
+/// The joiner-only state of the join handshake, shared by both adapters:
+/// what a stalled join needs to re-fire its inquiry, and the two re-fire
+/// decisions made on it. Boxed out of line by the adapters — absent on
+/// bootstrap members and dropped once the join completes — so the
+/// steady-state paths carry none of it.
+///
+/// The policy is fixed by the layout: a sharded space (`shards` set,
+/// `G > 1`) re-fires *full* inquiries until every shard met its quorum;
+/// otherwise the bounded [`RetransmitConfig`], if any, re-fires a silent
+/// handshake. Adapters differ only in their wire (`wire`), their timer
+/// tags (recorded as scheduled) and where the reply count comes from.
+#[derive(Debug)]
+struct JoinHandshake<M, W> {
+    /// Puts an inquiry on the adapter's wire (`full` or not).
+    wire: fn(M, bool) -> W,
+    /// The unsharded retransmit policy (inert while `shards` is set).
+    retransmit: Option<RetransmitConfig>,
+    /// The sharded policy, set exactly when `G > 1`.
+    shards: Option<ShardWait>,
+    /// The inquiry payload once broadcast, kept for re-fires.
+    inquiry: Option<M>,
+    /// `(tag, delay)` of the join waits armed so far, so an intercepted or
+    /// withheld expiry can re-arm itself.
+    waits: Vec<(u64, Span)>,
+    /// Whether the beat ([`RETRANSMIT_TAG`]) is outstanding.
+    beat_armed: bool,
+    /// Consecutive silent beats (the backoff exponent, plateaued).
+    attempts: u32,
+    /// Zero-reply interceptions consumed.
+    used: u32,
+    /// Reply count when the beat was last armed (progress detection).
+    seen: usize,
+}
+
+/// The sharded policy's joiner-side quorum tracking.
+#[derive(Debug)]
+struct ShardWait {
+    /// Distinct responders per shard needed before its keys may activate.
+    quorum: usize,
+    /// The beat period of timer-less (quorum) joins.
+    every: Span,
+    /// Per-shard distinct responders whose batches covered that shard's
+    /// keys (one set per shard, so `heard.len() == G`).
+    heard: Vec<BTreeSet<NodeId>>,
+}
+
+impl<M: Clone, W> JoinHandshake<M, W> {
+    fn new(wire: fn(M, bool) -> W, retransmit: Option<RetransmitConfig>) -> Self {
+        JoinHandshake {
+            wire,
+            retransmit,
+            shards: None,
+            inquiry: None,
+            waits: Vec::new(),
+            beat_armed: false,
+            attempts: 0,
+            used: 0,
+            seen: 0,
+        }
+    }
+
+    /// Installs the shard layout (`G = 1` clears the sharded policy).
+    fn set_shards(&mut self, config: ShardConfig) {
+        self.shards = (config.groups > 1).then(|| ShardWait {
+            quorum: config.quorum,
+            every: config.reinquire_every,
+            heard: vec![BTreeSet::new(); config.groups as usize],
+        });
+    }
+
+    /// Records the join's inquiry broadcast (the first one is kept).
+    fn inquired(&mut self, inquiry: &M) {
+        self.inquiry.get_or_insert_with(|| inquiry.clone());
+    }
+
+    /// Records a join wait armed under `tag`.
+    fn armed(&mut self, tag: u64, delay: Span) {
+        match self.waits.iter_mut().find(|(t, _)| *t == tag) {
+            Some((_, d)) => *d = delay,
+            None => self.waits.push((tag, delay)),
+        }
+    }
+
+    /// The delay of the join wait armed under `tag`, if any.
+    fn wait(&self, tag: u64) -> Option<Span> {
+        self.waits.iter().find(|&&(t, _)| t == tag).map(|&(_, d)| d)
+    }
+
+    /// Records that `from` answered for the keys of `replies` (sharded
+    /// quorum tracking).
+    fn heard(&mut self, from: NodeId, replies: &[(RegisterId, M)]) {
+        if let Some(s) = &mut self.shards {
+            let groups = s.heard.len() as u32;
+            for &(key, _) in replies {
+                s.heard[shard_of_key(key, groups) as usize].insert(from);
+            }
+        }
+    }
+
+    /// Whether a shared wait's expiry must hold `key` back: the sharded
+    /// inquiry is out and `key`'s shard is short of its reply quorum.
+    fn withholds(&self, key: RegisterId) -> bool {
+        self.inquiry.is_some()
+            && self.shards.as_ref().is_some_and(|s| {
+                s.heard[shard_of_key(key, s.heard.len() as u32) as usize].len() < s.quorum
+            })
+    }
+
+    /// Re-broadcasts the remembered inquiry: in full for the sharded
+    /// fallback, otherwise as a retransmission, marked for the runtime.
+    fn refire<V>(&self, full: bool, out: &mut Vec<SpaceEffect<W, V>>) {
+        if let Some(inner) = self.inquiry.clone() {
+            out.push(SpaceEffect::Broadcast {
+                msg: (self.wire)(inner, full),
+            });
+            out.extend((!full).then_some(SpaceEffect::Retransmit));
+        }
+    }
+
+    /// Arms the beat once a join inquired without arming a wait of its
+    /// own (a timer-less quorum protocol): every period when sharded, the
+    /// backed-off silence window otherwise. Arming snapshots the reply
+    /// count, so the next beat can tell silence from progress.
+    fn arm_beat<V>(
+        &mut self,
+        replies: impl Fn() -> Option<usize>,
+        out: &mut Vec<SpaceEffect<W, V>>,
+    ) {
+        if self.beat_armed || self.inquiry.is_none() || !self.waits.is_empty() {
+            return;
+        }
+        let delay = match (&self.shards, self.retransmit) {
+            (Some(s), _) => s.every,
+            (None, Some(cfg)) => {
+                self.seen = replies().unwrap_or(0);
+                cfg.backoff(self.attempts)
+            }
+            (None, None) => return,
+        };
+        self.beat_armed = true;
+        out.push(SpaceEffect::SetTimer {
+            delay,
+            tag: RETRANSMIT_TAG,
+        });
+    }
+
+    /// The beat fired: re-fire in full when sharded (a starved shard falls
+    /// back to the legacy transfer instead of wedging); otherwise re-fire
+    /// only after silence, backing the window off — progress resets it.
+    /// Either way the beat re-arms.
+    fn beat<V>(&mut self, replies: impl Fn() -> Option<usize>, out: &mut Vec<SpaceEffect<W, V>>) {
+        self.beat_armed = false;
+        match (&self.shards, self.retransmit) {
+            (Some(_), _) => self.refire(true, out),
+            (None, Some(cfg)) if replies().unwrap_or(0) <= self.seen => {
+                self.refire(false, out);
+                self.attempts = (self.attempts + 1).min(cfg.budget);
+            }
+            (None, Some(_)) => self.attempts = 0,
+            (None, None) => {}
+        }
+        self.arm_beat(replies, out);
+    }
+
+    /// Offers a timer expiry to the handshake before the protocol sees
+    /// it; `Some` means the handshake consumed it. The beat is always
+    /// consumed — never forwarded, since timer-less protocols panic on
+    /// unknown tags — and emits nothing once the join is done (`hs` gone).
+    /// Unsharded, a join wait expiring with zero replies and retransmit
+    /// budget left is consumed too: the inquiry re-fires and the same
+    /// wait re-arms instead of dispatching the expiry (which would
+    /// blind-activate at ⊥).
+    fn fire<V>(
+        hs: Option<&mut Self>,
+        tag: u64,
+        replies: impl Fn() -> Option<usize>,
+    ) -> Option<Vec<SpaceEffect<W, V>>> {
+        let mut out = Vec::new();
+        if tag == RETRANSMIT_TAG {
+            if let Some(hs) = hs {
+                hs.beat(replies, &mut out);
+            }
+            return Some(out);
+        }
+        let hs = hs?;
+        let cfg = hs.retransmit.filter(|_| hs.shards.is_none())?;
+        let delay = hs.wait(tag)?;
+        if hs.inquiry.is_none() || hs.used >= cfg.budget || replies() != Some(0) {
+            return None;
+        }
+        hs.used += 1;
+        hs.refire(false, &mut out);
+        out.push(SpaceEffect::SetTimer { delay, tag });
+        Some(out)
+    }
+
+    /// Sharded: a shared wait expired while keys of short shards were
+    /// held back. Re-fire the inquiry in full (unless the step broadcast
+    /// one itself) and re-arm the same wait, so the next expiry re-checks
+    /// the quorums.
+    fn refire_withheld<V>(&self, tag: u64, ctx: &mut StepCtx<M, V>) {
+        if ctx.join_broadcast.is_none() {
+            ctx.join_broadcast = self.inquiry.clone().map(|inner| (inner, true));
+        }
+        if let Some(delay) = self.wait(tag) {
+            let wait = (delay, tag & !SHARED_TAG);
+            if !ctx.join_timers.contains(&wait) {
+                ctx.join_timers.push(wait);
+            }
+        }
+    }
+}
+
+/// Total join replies gathered by still-joining instances, if any
+/// instance reports a count ([`RegisterProcess::join_replies`]).
+fn joining_replies<P: RegisterProcess>(regs: &[P]) -> Option<usize> {
+    regs.iter()
+        .filter(|r| !r.is_active())
+        .filter_map(|r| r.join_replies())
+        .reduce(|a, b| a + b)
+}
+
 /// Adapts one [`RegisterProcess`] to the space trait with no wire overhead:
 /// `Msg = P::Msg` (no key tags), every effect attributed to
 /// [`RegisterId::ZERO`]. Byte-identical behaviour to driving `P` directly —
@@ -285,24 +469,10 @@ pub struct SoloSpace<P: RegisterProcess> {
     inner: P,
     /// Reused scratch so the delivery fast path stays allocation-free.
     scratch: Vec<Effect<P::Msg, P::Val>>,
-    /// Join-retransmit policy (`None` = the pre-retransmit path, bit for
-    /// bit — the default of [`SoloSpace::new`]).
-    retransmit: Option<RetransmitConfig>,
-    /// Whether the join broadcast its inquiry yet.
-    inquired: bool,
-    /// The observed inquiry payload, kept for re-fires.
-    last_inquiry: Option<P::Msg>,
-    /// `(tag, delay)` of join-phase timers the inner protocol armed, so a
-    /// zero-reply interception can re-arm the expiring wait.
-    join_timers: Vec<(u64, Span)>,
-    /// Whether the silence ([`RETRANSMIT_TAG`]) timer is outstanding.
-    retransmit_armed: bool,
-    /// Consecutive silent beats (the backoff exponent, plateaued).
-    retransmit_attempts: u32,
-    /// Zero-reply interceptions consumed (timer-driven joins).
-    retransmit_used: u32,
-    /// Reply count at the last silence beat (progress detection).
-    retransmit_seen: usize,
+    /// The join handshake of a joiner with a retransmit policy (`None`
+    /// without one — the pre-retransmit path, bit for bit — and once the
+    /// join is done).
+    join: Option<Box<JoinHandshake<P::Msg, P::Msg>>>,
 }
 
 impl<P: RegisterProcess> SoloSpace<P> {
@@ -311,20 +481,15 @@ impl<P: RegisterProcess> SoloSpace<P> {
         SoloSpace {
             inner,
             scratch: Vec::new(),
-            retransmit: None,
-            inquired: false,
-            last_inquiry: None,
-            join_timers: Vec::new(),
-            retransmit_armed: false,
-            retransmit_attempts: 0,
-            retransmit_used: 0,
-            retransmit_seen: 0,
+            join: None,
         }
     }
 
     /// Installs (or clears) the bounded join-retransmit policy.
     pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> SoloSpace<P> {
-        self.retransmit = config;
+        self.join = config
+            .filter(|_| !self.inner.is_active())
+            .map(|cfg| Box::new(JoinHandshake::new(|inner, _| inner, Some(cfg))));
         self
     }
 
@@ -339,88 +504,29 @@ impl<P: RegisterProcess> SoloSpace<P> {
         effects.into_iter().map(lift_effect).collect()
     }
 
-    /// Observes a join-phase step's lifted effects (inquiry payload and
-    /// armed waits) and appends the silence timer for timer-less joins —
-    /// the solo mirror of [`RegisterSpace::flush`]'s bookkeeping. A no-op
-    /// unless a retransmit policy is installed and the join is still in
-    /// flight.
+    /// Drops the handshake once the inner protocol is active.
+    fn settle(&mut self) {
+        if self.inner.is_active() {
+            self.join = None;
+        }
+    }
+
+    /// Feeds a join step's lifted effects (inquiry payload and armed
+    /// waits) to the handshake and appends its beat when a timer-less
+    /// join inquired.
     fn observe_join_step(&mut self, out: &mut Vec<SpaceEffect<P::Msg, P::Val>>) {
-        let Some(cfg) = self.retransmit else {
+        self.settle();
+        let Some(hs) = self.join.as_deref_mut() else {
             return;
         };
-        if self.inner.is_active() {
-            return;
-        }
         for effect in out.iter() {
             match effect {
-                SpaceEffect::Broadcast { msg } if !self.inquired => {
-                    self.inquired = true;
-                    self.last_inquiry = Some(msg.clone());
-                }
-                SpaceEffect::SetTimer { delay, tag }
-                    if *tag != RETRANSMIT_TAG
-                        && !self.join_timers.iter().any(|(t, _)| t == tag) =>
-                {
-                    self.join_timers.push((*tag, *delay));
-                }
+                SpaceEffect::Broadcast { msg } => hs.inquired(msg),
+                SpaceEffect::SetTimer { delay, tag } => hs.armed(*tag, *delay),
                 _ => {}
             }
         }
-        if self.inquired && !self.retransmit_armed && self.join_timers.is_empty() {
-            // A timer-less (quorum) protocol inquired: arm the space's own
-            // silence timer so a swallowed handshake re-fires.
-            out.push(SpaceEffect::SetTimer {
-                delay: cfg.backoff(self.retransmit_attempts),
-                tag: RETRANSMIT_TAG,
-            });
-            self.retransmit_armed = true;
-            self.retransmit_seen = self.inner.join_replies().unwrap_or(0);
-        }
-    }
-
-    /// The silence timer fired (timer-less joins): re-broadcast the
-    /// inquiry if no reply arrived since the last beat, back the window
-    /// off, and re-arm.
-    fn retransmit_fire(&mut self) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        self.retransmit_armed = false;
-        let Some(cfg) = self.retransmit else {
-            return Vec::new();
-        };
-        if self.inner.is_active() {
-            return Vec::new();
-        }
-        let heard = self.inner.join_replies().unwrap_or(0);
-        let silent = heard <= self.retransmit_seen;
-        self.retransmit_seen = heard;
-        let mut out = Vec::new();
-        if silent {
-            if let Some(msg) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast { msg });
-                out.push(SpaceEffect::Retransmit);
-            }
-            self.retransmit_attempts = (self.retransmit_attempts + 1).min(cfg.budget);
-        } else {
-            self.retransmit_attempts = 0;
-        }
-        out.push(SpaceEffect::SetTimer {
-            delay: cfg.backoff(self.retransmit_attempts),
-            tag: RETRANSMIT_TAG,
-        });
-        self.retransmit_armed = true;
-        out
-    }
-
-    /// Whether a timer-driven join's expiring wait must be intercepted:
-    /// the inquiry is out, zero replies were gathered, and budget remains.
-    fn intercepts(&self, tag: u64) -> bool {
-        let Some(cfg) = self.retransmit else {
-            return false;
-        };
-        !self.inner.is_active()
-            && self.inquired
-            && self.retransmit_used < cfg.budget
-            && self.inner.join_replies() == Some(0)
-            && self.join_timers.iter().any(|&(t, _)| t == tag)
+        hs.arm_beat(|| self.inner.join_replies(), out);
     }
 }
 
@@ -480,24 +586,9 @@ impl<P: RegisterProcess> RegisterSpaceProcess for SoloSpace<P> {
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        if tag == RETRANSMIT_TAG {
-            // The space's own silence timer — never forwarded (timer-less
-            // inner protocols panic on unknown tags).
-            return self.retransmit_fire();
-        }
-        if self.intercepts(tag) {
-            // A timer-driven join's wait expired with zero replies: re-fire
-            // the inquiry and re-arm the same wait instead of dispatching
-            // the expiry (which would blind-activate at ⊥).
-            self.retransmit_used += 1;
-            let mut out = Vec::new();
-            if let Some(msg) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast { msg });
-                out.push(SpaceEffect::Retransmit);
-            }
-            if let Some(&(t, delay)) = self.join_timers.iter().find(|&&(t, _)| t == tag) {
-                out.push(SpaceEffect::SetTimer { delay, tag: t });
-            }
+        self.settle();
+        let replies = || self.inner.join_replies();
+        if let Some(out) = JoinHandshake::fire(self.join.as_deref_mut(), tag, replies) {
             return out;
         }
         let mut out = Self::lift(self.inner.on_timer(now, tag));
@@ -533,17 +624,14 @@ impl<P: RegisterProcess> RegisterSpaceProcess for SoloSpace<P> {
 const SHARED_TAG: u64 = 1 << 63;
 const KEY_TAG_SHIFT: u32 = 32;
 const INNER_TAG_MASK: u64 = (1 << KEY_TAG_SHIFT) - 1;
-/// The space's own re-inquiry timer (sharded joins over protocols that set
-/// no join timers). Inner tags fit 32 bits, so bit 62 cannot collide with
-/// a forwarded shared tag.
-const REINQUIRE_TAG: u64 = SHARED_TAG | (1 << 62);
-/// The unsharded join-retransmit silence timer (timer-less protocols under
-/// [`RetransmitConfig`]). Like `REINQUIRE_TAG`, bit 61 cannot collide
-/// with a forwarded inner tag.
+/// The join handshake's own beat, the space layer's one reserved timer:
+/// the silence beat of the unsharded retransmit policy, or the full
+/// re-inquiry beat of a sharded timer-less join. Inner tags fit 32 bits,
+/// so bit 61 cannot collide with a forwarded shared tag.
 pub const RETRANSMIT_TAG: u64 = SHARED_TAG | (1 << 61);
 
 /// Bounded join-handshake retransmission policy (see the module's
-/// "Loss-tolerant join retransmission"). Attached to a space via
+/// "Join handshake lifecycle"). Attached to a space via
 /// [`SoloSpace::with_retransmit`] / [`RegisterSpace::with_retransmit`];
 /// absent (the default of every raw constructor), the space behaves
 /// exactly as before — lossless paths are bit-identical either way.
@@ -585,10 +673,11 @@ impl RetransmitConfig {
     }
 
     /// The silence window after `attempts` consecutive silent beats:
-    /// `base << min(attempts, budget)`, shift capped so the window can
-    /// never overflow.
+    /// `base << min(attempts, budget, 16)`, saturating at the largest
+    /// span instead of dropping high bits.
     fn backoff(&self, attempts: u32) -> Span {
-        Span::ticks(self.base.as_ticks() << attempts.min(self.budget).min(16))
+        let shift = attempts.min(self.budget).min(16);
+        Span::ticks(self.base.as_ticks().saturating_mul(1 << shift))
     }
 }
 
@@ -610,7 +699,7 @@ pub fn shard_of_key(key: RegisterId, groups: u32) -> u32 {
 
 /// How join replies are sharded across responders (see the module docs).
 ///
-/// `ShardConfig::legacy()` (`G = 1`) is the full-state reply handshake —
+/// `ShardConfig::new(1)` (`G = 1`) is the full-state reply handshake —
 /// the default of every constructor, wire- and digest-identical to the
 /// pre-sharding code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -631,11 +720,6 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// The legacy full-reply handshake (`G = 1`).
-    pub fn legacy() -> ShardConfig {
-        ShardConfig::new(1)
-    }
-
     /// Sharded replies over `groups` groups, per-shard quorum 1, re-inquiry
     /// every 8 ticks.
     ///
@@ -671,12 +755,6 @@ impl ShardConfig {
     }
 }
 
-impl Default for ShardConfig {
-    fn default() -> ShardConfig {
-        ShardConfig::legacy()
-    }
-}
-
 /// A per-node multiplexer owning one [`RegisterProcess`] instance per key
 /// behind a single shared join handshake. See the module docs for the
 /// coalescing rules and their contract.
@@ -684,40 +762,20 @@ impl Default for ShardConfig {
 pub struct RegisterSpace<P: RegisterProcess> {
     id: NodeId,
     regs: Vec<P>,
-    /// Whether this space already emitted its single `JoinComplete`.
-    join_done: bool,
     /// Reused scratch for the instances' effect lists.
     scratch: Vec<Effect<P::Msg, P::Val>>,
     /// Join-reply sharding (`groups == 1` = legacy full replies).
     shard: ShardConfig,
     /// This process's responder shard (`shard_of_node(id, groups)`).
     my_shard: u32,
-    /// Whether this joiner has broadcast its (shared) inquiry yet — shard
-    /// gating applies only from then on.
-    inquired: bool,
-    /// The coalesced inquiry payload, kept for re-inquiries.
-    last_inquiry: Option<P::Msg>,
-    /// Per-shard distinct responders whose batches covered that shard's
-    /// keys (joiner-side quorum tracking; empty unless `groups > 1`).
-    shard_heard: Vec<BTreeSet<NodeId>>,
-    /// `(inner tag, delay)` of shared join timers armed so far, so a
-    /// withheld (or zero-reply-intercepted) expiry can re-arm itself.
-    join_timer_delays: Vec<(u64, Span)>,
-    /// Whether the space's own re-inquiry timer is outstanding.
-    reinquire_armed: bool,
-    /// Unsharded join-retransmit policy (`None` = pre-retransmit path).
-    /// Inert while `groups > 1` — sharded handshakes already re-fire via
-    /// the withheld-expiry / re-inquiry machinery.
-    retransmit: Option<RetransmitConfig>,
-    /// Whether the silence ([`RETRANSMIT_TAG`]) timer is outstanding.
-    retransmit_armed: bool,
-    /// Consecutive silent beats (the backoff exponent, plateaued).
-    retransmit_attempts: u32,
-    /// Zero-reply interceptions consumed (timer-driven joins).
-    retransmit_used: u32,
-    /// Reply count at the last silence beat (progress detection).
-    retransmit_seen: usize,
+    /// The shared join handshake while the join is in flight; `None` on
+    /// bootstrap members and once this space emitted its single
+    /// `JoinComplete`.
+    join: Option<Box<SpaceHandshake<P::Msg>>>,
 }
+
+/// The register space's handshake: inquiries go out as `JoinAll`.
+type SpaceHandshake<M> = JoinHandshake<M, SpaceMsg<M>>;
 
 /// One target's pending fan-in replies: `(target, per-key payloads)`.
 type FanGroup<M> = (NodeId, Vec<(RegisterId, M)>);
@@ -741,8 +799,6 @@ struct StepCtx<M, V> {
     /// replies must be identifiable on the wire even when a shard owns
     /// one key). Never set when `groups == 1`.
     force_batch: bool,
-    /// Whether all instances became active during this step.
-    join_completed: bool,
 }
 
 impl<M, V> StepCtx<M, V> {
@@ -753,7 +809,6 @@ impl<M, V> StepCtx<M, V> {
             join_timers: Vec::new(),
             fan_sends: batch_fan_in.then(Vec::new),
             force_batch: batch_fan_in && force_batch,
-            join_completed: false,
         }
     }
 }
@@ -765,14 +820,13 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// Panics if `regs` is empty, the instances disagree on identity, or
     /// any instance is not active.
     pub fn new_bootstrap(regs: Vec<P>) -> RegisterSpace<P> {
-        let mut space = RegisterSpace::assemble(regs);
+        // Bootstrap spaces run no handshake: steady-state routing from the
+        // first effect (the runtime may never call `on_enter` on them).
+        let space = RegisterSpace::assemble(regs, None);
         assert!(
             space.regs.iter().all(|r| r.is_active()),
             "bootstrap instances must be active"
         );
-        // Bootstrap spaces run no handshake: steady-state routing from the
-        // first effect (the runtime may never call `on_enter` on them).
-        space.join_done = true;
         space
     }
 
@@ -782,10 +836,11 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// # Panics
     /// Panics if `regs` is empty or the instances disagree on identity.
     pub fn new_joiner(regs: Vec<P>) -> RegisterSpace<P> {
-        RegisterSpace::assemble(regs)
+        let join_all = |inner, full| SpaceMsg::JoinAll { inner, full };
+        RegisterSpace::assemble(regs, Some(Box::new(JoinHandshake::new(join_all, None))))
     }
 
-    fn assemble(regs: Vec<P>) -> RegisterSpace<P> {
+    fn assemble(regs: Vec<P>, join: Option<Box<SpaceHandshake<P::Msg>>>) -> RegisterSpace<P> {
         assert!(!regs.is_empty(), "a register space needs at least one key");
         let id = regs[0].id();
         assert!(
@@ -795,20 +850,10 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         RegisterSpace {
             id,
             regs,
-            join_done: false,
             scratch: Vec::new(),
-            shard: ShardConfig::legacy(),
+            shard: ShardConfig::new(1),
             my_shard: 0,
-            inquired: false,
-            last_inquiry: None,
-            shard_heard: Vec::new(),
-            join_timer_delays: Vec::new(),
-            reinquire_armed: false,
-            retransmit: None,
-            retransmit_armed: false,
-            retransmit_attempts: 0,
-            retransmit_used: 0,
-            retransmit_seen: 0,
+            join,
         }
     }
 
@@ -820,18 +865,18 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         let groups = config.groups.min(self.regs.len() as u32).max(1);
         self.shard = ShardConfig { groups, ..config };
         self.my_shard = shard_of_node(self.id, groups);
-        self.shard_heard = if groups > 1 {
-            vec![BTreeSet::new(); groups as usize]
-        } else {
-            Vec::new()
-        };
+        if let Some(hs) = self.join.as_deref_mut() {
+            hs.set_shards(self.shard);
+        }
         self
     }
 
     /// Installs (or clears) the bounded join-retransmit policy. Only an
     /// unsharded (`G = 1`) handshake uses it; see [`RetransmitConfig`].
     pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> RegisterSpace<P> {
-        self.retransmit = config;
+        if let Some(hs) = self.join.as_deref_mut() {
+            hs.retransmit = config;
+        }
         self
     }
 
@@ -848,76 +893,6 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// The instance backing `key`.
     pub fn register(&self, key: RegisterId) -> &P {
         &self.regs[key.as_raw() as usize]
-    }
-
-    /// Whether `shard` met its reply quorum (joiner-side tracking; only
-    /// meaningful while `groups > 1`).
-    fn shard_quorum_met(&self, shard: u32) -> bool {
-        self.shard_heard[shard as usize].len() >= self.shard.quorum
-    }
-
-    /// Total join replies gathered by still-joining instances, if any
-    /// instance reports a count ([`RegisterProcess::join_replies`]).
-    fn joining_replies(&self) -> Option<usize> {
-        let mut total = None;
-        for r in &self.regs {
-            if !r.is_active() {
-                if let Some(n) = r.join_replies() {
-                    total = Some(total.unwrap_or(0) + n);
-                }
-            }
-        }
-        total
-    }
-
-    /// The silence timer fired (unsharded timer-less joins): re-broadcast
-    /// the inquiry if no reply arrived since the last beat, back the
-    /// window off, and re-arm — the spaced mirror of
-    /// [`SoloSpace::retransmit_fire`].
-    fn retransmit_fire(&mut self) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
-        self.retransmit_armed = false;
-        let Some(cfg) = self.retransmit else {
-            return Vec::new();
-        };
-        if self.join_done {
-            return Vec::new();
-        }
-        let heard = self.joining_replies().unwrap_or(0);
-        let silent = heard <= self.retransmit_seen;
-        self.retransmit_seen = heard;
-        let mut out = Vec::new();
-        if silent {
-            if let Some(inner) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast {
-                    msg: SpaceMsg::JoinAll { inner, full: false },
-                });
-                out.push(SpaceEffect::Retransmit);
-            }
-            self.retransmit_attempts = (self.retransmit_attempts + 1).min(cfg.budget);
-        } else {
-            self.retransmit_attempts = 0;
-        }
-        out.push(SpaceEffect::SetTimer {
-            delay: cfg.backoff(self.retransmit_attempts),
-            tag: RETRANSMIT_TAG,
-        });
-        self.retransmit_armed = true;
-        out
-    }
-
-    /// Whether an expiring shared join wait must be intercepted (unsharded
-    /// timer-driven joins): the inquiry is out, every joining instance
-    /// gathered zero replies, and retry budget remains.
-    fn intercepts(&self, inner_tag: u64) -> bool {
-        let Some(cfg) = self.retransmit else {
-            return false;
-        };
-        self.shard.groups == 1
-            && !self.join_done
-            && self.inquired
-            && self.retransmit_used < cfg.budget
-            && self.joining_replies() == Some(0)
-            && self.join_timer_delays.iter().any(|&(t, _)| t == inner_tag)
     }
 
     /// Routes one instance's raw effects into the step context.
@@ -940,24 +915,21 @@ impl<P: RegisterProcess> RegisterSpace<P> {
                     }),
                 },
                 Effect::Broadcast { msg } => {
-                    if self.join_done {
+                    if self.join.is_none() {
                         ctx.out.push(SpaceEffect::Broadcast {
                             msg: SpaceMsg::Keyed { key, inner: msg },
                         });
                     } else if ctx.join_broadcast.is_none() {
                         // Shared handshake: one inquiry covers every key
                         // (join-phase broadcasts are key-agnostic; module
-                        // docs, contract 1). The payload is remembered for
-                        // re-inquiries and retransmits; the first sharded
-                        // inquiry asks each responder only for its shard.
-                        self.inquired = true;
-                        self.last_inquiry = Some(msg.clone());
+                        // docs, contract 1); the first sharded inquiry asks
+                        // each responder only for its shard.
                         ctx.join_broadcast = Some((msg, false));
                     }
                 }
                 Effect::SetTimer { delay, tag } => {
                     debug_assert!(tag <= INNER_TAG_MASK, "inner timer tags must fit 32 bits");
-                    if self.join_done {
+                    if self.join.is_none() {
                         ctx.out.push(SpaceEffect::SetTimer {
                             delay,
                             tag: (u64::from(key.as_raw()) << KEY_TAG_SHIFT) | tag,
@@ -969,9 +941,8 @@ impl<P: RegisterProcess> RegisterSpace<P> {
                     }
                 }
                 Effect::JoinComplete => {
-                    if !self.join_done && self.regs.iter().all(|r| r.is_active()) {
-                        self.join_done = true;
-                        ctx.join_completed = true;
+                    if self.join.is_some() && self.regs.iter().all(|r| r.is_active()) {
+                        self.join = None;
                         ctx.out.push(SpaceEffect::JoinComplete);
                     }
                 }
@@ -985,60 +956,31 @@ impl<P: RegisterProcess> RegisterSpace<P> {
 
     /// Flushes the step context into the final effect list: direct effects
     /// first (their order is the instances' own), then the coalesced join
-    /// broadcast, shared timers, and batched fan-in replies. Sharded
-    /// spaces additionally record armed join-timer delays (for withheld
-    /// expiries to re-arm) and keep a re-inquiry timer outstanding for
-    /// protocols that arm none themselves.
+    /// broadcast, shared timers, the handshake's beat, and batched fan-in
+    /// replies. A joining space feeds the inquiry and armed waits to its
+    /// handshake on the way.
     fn flush(
         &mut self,
         mut ctx: StepCtx<P::Msg, P::Val>,
     ) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
         let mut out = ctx.out;
         if let Some((inner, full)) = ctx.join_broadcast.take() {
+            if let Some(hs) = self.join.as_deref_mut() {
+                hs.inquired(&inner);
+            }
             out.push(SpaceEffect::Broadcast {
                 msg: SpaceMsg::JoinAll { inner, full },
             });
         }
         for (delay, tag) in ctx.join_timers.drain(..) {
-            match self.join_timer_delays.iter_mut().find(|(t, _)| *t == tag) {
-                Some((_, d)) => *d = delay,
-                None => self.join_timer_delays.push((tag, delay)),
+            let tag = SHARED_TAG | tag;
+            if let Some(hs) = self.join.as_deref_mut() {
+                hs.armed(tag, delay);
             }
-            out.push(SpaceEffect::SetTimer {
-                delay,
-                tag: SHARED_TAG | tag,
-            });
+            out.push(SpaceEffect::SetTimer { delay, tag });
         }
-        if self.shard.groups > 1
-            && !self.join_done
-            && self.inquired
-            && !self.reinquire_armed
-            && self.join_timer_delays.is_empty()
-        {
-            // A timer-less (quorum) protocol inquired: the space itself
-            // re-fires the inquiry until every shard has answered.
-            out.push(SpaceEffect::SetTimer {
-                delay: self.shard.reinquire_every,
-                tag: REINQUIRE_TAG,
-            });
-            self.reinquire_armed = true;
-        }
-        if let Some(cfg) = self.retransmit {
-            if self.shard.groups == 1
-                && !self.join_done
-                && self.inquired
-                && !self.retransmit_armed
-                && self.join_timer_delays.is_empty()
-            {
-                // Unsharded timer-less join: arm the silence timer (the
-                // solo path arms the same one — `observe_join_step`).
-                out.push(SpaceEffect::SetTimer {
-                    delay: cfg.backoff(self.retransmit_attempts),
-                    tag: RETRANSMIT_TAG,
-                });
-                self.retransmit_armed = true;
-                self.retransmit_seen = self.joining_replies().unwrap_or(0);
-            }
+        if let Some(hs) = self.join.as_deref_mut() {
+            hs.arm_beat(|| joining_replies(&self.regs), &mut out);
         }
         if let Some(groups) = ctx.fan_sends.take() {
             for (to, mut entries) in groups {
@@ -1084,7 +1026,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     }
 
     fn is_active(&self) -> bool {
-        self.join_done
+        self.join.is_none()
     }
 
     fn key_count(&self) -> u32 {
@@ -1092,7 +1034,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     }
 
     fn on_enter(&mut self, now: Time) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        if self.join_done {
+        if self.join.is_none() {
             // Bootstrap member: already active (mirrors the single-register
             // protocols' bootstrap `on_enter`).
             return vec![SpaceEffect::JoinComplete];
@@ -1149,15 +1091,11 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                 out.append(&mut self.flush(ctx));
             }
             SpaceMsg::Batch { replies } => {
-                // Joiner-side shard bookkeeping: a batch from `from`
-                // covers the shards of the keys it carries (its own shard
-                // for a sharded reply, every shard for a full-fallback
-                // one).
-                if self.shard.groups > 1 && !self.join_done {
-                    for (key, _) in &replies {
-                        let s = shard_of_key(*key, self.shard.groups) as usize;
-                        self.shard_heard[s].insert(from);
-                    }
+                // A batch from `from` covers the shards of the keys it
+                // carries (its own shard for a sharded reply, every shard
+                // for a full-fallback one).
+                if let Some(hs) = self.join.as_deref_mut() {
+                    hs.heard(from, &replies);
                 }
                 let mut ctx = StepCtx::new(self.regs.len() > 1, self.shard.groups > 1);
                 for (key, inner) in replies {
@@ -1171,101 +1109,34 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        if tag == RETRANSMIT_TAG {
-            // The unsharded silence timer — never forwarded to instances.
-            return self.retransmit_fire();
-        }
-        if tag == REINQUIRE_TAG {
-            // The space's own re-inquiry beat (timer-less protocols): while
-            // the shared join is incomplete, re-broadcast a full inquiry —
-            // any active process answers for every key, so a starved shard
-            // falls back to the legacy transfer instead of wedging.
-            self.reinquire_armed = false;
-            if self.join_done {
-                return Vec::new();
-            }
-            let mut out = Vec::new();
-            if let Some(inner) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast {
-                    msg: SpaceMsg::JoinAll { inner, full: true },
-                });
-            }
-            out.push(SpaceEffect::SetTimer {
-                delay: self.shard.reinquire_every,
-                tag: REINQUIRE_TAG,
-            });
-            self.reinquire_armed = true;
+        let replies = || joining_replies(&self.regs);
+        if let Some(out) = JoinHandshake::fire(self.join.as_deref_mut(), tag, replies) {
             return out;
         }
         if tag & SHARED_TAG != 0 {
             // A shared join-phase timer: dispatch to every still-joining
-            // instance (exactly the requesters; module docs, contract 2) —
-            // except, once the sharded inquiry is out, instances of shards
-            // still short of their reply quorum: those stay joining and the
-            // timer re-fires the inquiry (full fallback) and re-arms.
+            // instance (exactly the requesters; module docs, contract 2)
+            // except those the handshake holds back for a short shard.
             // Multi-instance step → per-target sends batch, so postponed
             // replies flushed at activation stay one message per inquirer.
             let inner_tag = tag & !SHARED_TAG;
-            if self.intercepts(inner_tag) {
-                // Unsharded zero-reply expiry: re-fire the inquiry and
-                // re-arm the same wait instead of dispatching (which would
-                // blind-activate every key at ⊥) — the spaced mirror of the
-                // solo interception, effect for effect.
-                self.retransmit_used += 1;
-                let mut out = Vec::new();
-                if let Some(inner) = self.last_inquiry.clone() {
-                    out.push(SpaceEffect::Broadcast {
-                        msg: SpaceMsg::JoinAll { inner, full: false },
-                    });
-                    out.push(SpaceEffect::Retransmit);
-                }
-                if let Some(&(t, delay)) = self
-                    .join_timer_delays
-                    .iter()
-                    .find(|&&(t, _)| t == inner_tag)
-                {
-                    out.push(SpaceEffect::SetTimer {
-                        delay,
-                        tag: SHARED_TAG | t,
-                    });
-                }
-                return out;
-            }
-            let groups = self.shard.groups;
-            // Snapshot the gate before stepping: the first dispatched
-            // instance may broadcast the inquiry (flipping `inquired`)
-            // mid-step, and pre-inquiry waits must dispatch to every key.
-            let gate = groups > 1 && self.inquired && !self.join_done;
-            let mut ctx = StepCtx::new(self.regs.len() > 1, groups > 1);
+            let mut ctx = StepCtx::new(self.regs.len() > 1, self.shard.groups > 1);
             let mut withheld = false;
             for raw in 0..self.regs.len() as u32 {
+                let key = RegisterId::from_raw(raw);
                 if self.regs[raw as usize].is_active() {
                     continue;
                 }
-                if gate && !self.shard_quorum_met(shard_of_key(RegisterId::from_raw(raw), groups)) {
+                if self.join.as_deref().is_some_and(|hs| hs.withholds(key)) {
                     withheld = true;
                     continue;
                 }
-                self.step_one(RegisterId::from_raw(raw), &mut ctx, |reg, scratch| {
+                self.step_one(key, &mut ctx, |reg, scratch| {
                     scratch.append(&mut reg.on_timer(now, inner_tag));
                 });
             }
-            if withheld {
-                debug_assert!(groups > 1, "only sharded spaces withhold expiries");
-                if ctx.join_broadcast.is_none() {
-                    if let Some(inner) = self.last_inquiry.clone() {
-                        ctx.join_broadcast = Some((inner, true));
-                    }
-                }
-                if let Some(&(t, delay)) = self
-                    .join_timer_delays
-                    .iter()
-                    .find(|&&(t, _)| t == inner_tag)
-                {
-                    if !ctx.join_timers.contains(&(delay, t)) {
-                        ctx.join_timers.push((delay, t));
-                    }
-                }
+            if let Some(hs) = self.join.as_deref().filter(|_| withheld) {
+                hs.refire_withheld(tag, &mut ctx);
             }
             self.flush(ctx)
         } else {
@@ -2180,6 +2051,186 @@ mod tests {
         s.on_message_into(Time::at(6), nid(2), batch(), &mut out);
         assert!(out.contains(&SpaceEffect::JoinComplete), "{out:?}");
         assert!(s.is_active());
+    }
+
+    /// A batched ES join reply from one responder, covering `keys`.
+    fn es_batch(keys: &[u32]) -> SpaceMsg<EsMsg<u64>> {
+        SpaceMsg::Batch {
+            replies: keys
+                .iter()
+                .map(|&k| {
+                    (
+                        key(k),
+                        EsMsg::Reply {
+                            value: Some(7),
+                            ts: Timestamp::INITIAL,
+                            r_sn: 0,
+                        },
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// A 4-key ES joiner sharded over 2 groups (shard 0 owns keys 0 and 2),
+    /// join quorum 1 per key, beat every 5 ticks.
+    fn sharded_es_joiner(retransmit: Option<RetransmitConfig>) -> RegisterSpace<EsRegister<u64>> {
+        let ecfg = EsConfig::new(3).with_join_quorum(1);
+        RegisterSpace::new_joiner(
+            (0..4)
+                .map(|_| EsRegister::<u64>::new_joiner(nid(9), ecfg, oid(900)))
+                .collect(),
+        )
+        .with_shards(ShardConfig::new(2).with_reinquire_every(Span::ticks(5)))
+        .with_retransmit(retransmit)
+    }
+
+    fn es_join_all(full: bool) -> SpaceEffect<SpaceMsg<EsMsg<u64>>, u64> {
+        SpaceEffect::Broadcast {
+            msg: SpaceMsg::JoinAll {
+                inner: EsMsg::Inquiry { r_sn: 0 },
+                full,
+            },
+        }
+    }
+
+    #[test]
+    fn sharded_timerless_beat_refires_full_inquiries_at_a_fixed_period() {
+        let mut s = sharded_es_joiner(None);
+        let beat = SpaceEffect::SetTimer {
+            delay: Span::ticks(5),
+            tag: RETRANSMIT_TAG,
+        };
+        assert_eq!(
+            s.on_enter(Time::ZERO),
+            vec![es_join_all(false), beat.clone()]
+        );
+        // Every beat re-fires a *full* inquiry and re-arms at the same
+        // period: no Retransmit marker, no backoff.
+        for at in [5, 10, 15] {
+            assert_eq!(
+                s.on_timer(Time::at(at), RETRANSMIT_TAG),
+                vec![es_join_all(true), beat.clone()],
+                "beat at {at}"
+            );
+        }
+        // Progress does not change the sharded beat: shard 0 answered,
+        // shard 1's keys are still joining.
+        s.on_message_into(Time::at(16), nid(1), es_batch(&[0, 2]), &mut Vec::new());
+        assert!(!s.is_active());
+        assert_eq!(
+            s.on_timer(Time::at(20), RETRANSMIT_TAG),
+            vec![es_join_all(true), beat]
+        );
+        // Join done: the outstanding beat emits nothing and stops.
+        let mut out = Vec::new();
+        s.on_message_into(Time::at(21), nid(2), es_batch(&[1, 3]), &mut out);
+        assert!(out.contains(&SpaceEffect::JoinComplete), "{out:?}");
+        assert_eq!(s.on_timer(Time::at(25), RETRANSMIT_TAG), vec![]);
+    }
+
+    #[test]
+    fn sharded_space_ignores_the_retransmit_policy() {
+        let rc = Some(RetransmitConfig::after(Span::ticks(2)).with_budget(1));
+        // Timer-less (ES): the same beats, one for one.
+        let (mut plain, mut with) = (sharded_es_joiner(None), sharded_es_joiner(rc));
+        assert_eq!(plain.on_enter(Time::ZERO), with.on_enter(Time::ZERO));
+        for at in [5, 10] {
+            assert_eq!(
+                plain.on_timer(Time::at(at), RETRANSMIT_TAG),
+                with.on_timer(Time::at(at), RETRANSMIT_TAG)
+            );
+        }
+        for (at, keys) in [(11, [0, 2]), (12, [1, 3])] {
+            assert_eq!(
+                plain.on_message(Time::at(at), nid(1), es_batch(&keys)),
+                with.on_message(Time::at(at), nid(1), es_batch(&keys))
+            );
+        }
+        assert!(plain.is_active() && with.is_active());
+        assert_eq!(
+            plain.on_timer(Time::at(15), RETRANSMIT_TAG),
+            with.on_timer(Time::at(15), RETRANSMIT_TAG)
+        );
+        // Timer-driven (sync): zero-reply expiries are withheld and re-fire
+        // a full inquiry, never intercepted — past the budget, too.
+        let mut plain = sharded_joiner(9, 4, 2);
+        let mut with = sharded_joiner(9, 4, 2).with_retransmit(rc);
+        let enter = plain.on_enter(Time::ZERO);
+        assert_eq!(enter, with.on_enter(Time::ZERO));
+        let SpaceEffect::SetTimer { tag, .. } = enter[0] else {
+            panic!("expected the δ wait, got {enter:?}");
+        };
+        let inquire = plain.on_timer(Time::at(3), tag);
+        assert_eq!(inquire, with.on_timer(Time::at(3), tag));
+        let SpaceEffect::SetTimer { tag: t2, .. } = inquire[1] else {
+            panic!("expected the 2δ wait, got {inquire:?}");
+        };
+        for at in [9, 15] {
+            let fired = plain.on_timer(Time::at(at), t2);
+            assert!(!fired.contains(&SpaceEffect::Retransmit), "{fired:?}");
+            assert!(fired.iter().any(|e| matches!(
+                e,
+                SpaceEffect::Broadcast {
+                    msg: SpaceMsg::JoinAll { full: true, .. }
+                }
+            )));
+            assert_eq!(fired, with.on_timer(Time::at(at), t2), "expiry at {at}");
+        }
+    }
+
+    #[test]
+    fn late_beat_after_join_complete_is_swallowed_by_a_register_space() {
+        // ES instances panic on unknown timer tags, so a forwarded beat
+        // would abort; a swallowed one yields nothing, sharded or not.
+        for groups in [1, 2] {
+            let mut s = spaced_es_joiner(2).with_shards(ShardConfig::new(groups));
+            assert!(s
+                .on_enter(Time::ZERO)
+                .iter()
+                .any(|e| matches!(e, SpaceEffect::SetTimer { tag, .. } if *tag == RETRANSMIT_TAG)));
+            for from in [1, 2] {
+                s.on_message_into(Time::at(5), nid(from), es_batch(&[0, 1]), &mut Vec::new());
+            }
+            assert!(s.is_active(), "G = {groups}");
+            assert_eq!(
+                s.on_timer(Time::at(8), RETRANSMIT_TAG),
+                vec![],
+                "G = {groups}"
+            );
+        }
+    }
+
+    #[test]
+    fn backoff_saturates_instead_of_wrapping() {
+        let rc = RetransmitConfig::after(Span::ticks(1 << 60));
+        assert_eq!(rc.backoff(0), Span::ticks(1 << 60));
+        assert_eq!(rc.backoff(3), Span::ticks(1 << 63));
+        // `base << 4` would drop every set bit — a zero-delay re-fire
+        // re-arming at the same tick. The window saturates instead.
+        assert_eq!(rc.backoff(4), Span::ticks(u64::MAX));
+        assert_eq!(rc.backoff(9), Span::ticks(u64::MAX), "plateau at budget");
+        // The same four silent beats through a joiner's effects.
+        let mut s = SoloSpace::new(EsRegister::<u64>::new_joiner(
+            nid(9),
+            EsConfig::new(3),
+            oid(900),
+        ))
+        .with_retransmit(Some(rc));
+        s.on_enter(Time::ZERO);
+        let delays: Vec<Span> = (1..=4)
+            .map(|beat| {
+                let fired = s.on_timer(Time::at(beat), RETRANSMIT_TAG);
+                match fired.last() {
+                    Some(&SpaceEffect::SetTimer { delay, .. }) => delay,
+                    _ => panic!("beat {beat} did not re-arm: {fired:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(
+            delays,
+            [1 << 61, 1 << 62, 1 << 63, u64::MAX].map(Span::ticks)
+        );
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl<F> SpaceOf<F> {
         SpaceOf {
             inner,
             keys,
-            shard: ShardConfig::legacy(),
+            shard: ShardConfig::new(1),
         }
     }
 
@@ -375,7 +375,7 @@ mod tests {
         );
         // The default is the legacy handshake.
         let legacy = SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 2);
-        assert_eq!(legacy.shard_config(), ShardConfig::legacy());
+        assert_eq!(legacy.shard_config(), ShardConfig::new(1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Loss-convergence properties of the bounded join-retransmit handshake
-//! (`docs/PROTOCOL.md`, "Join retransmission"): any seeded drop pattern
+//! (`docs/PROTOCOL.md`, "Join handshake lifecycle"): any seeded drop pattern
 //! that eventually stops dropping lets every staying joiner reach LIVE
 //! within a bounded number of retransmit rounds — under both the
 //! timer-driven synchronous join and the quorum-driven ES join — and the
