@@ -157,7 +157,6 @@ fn main() {
             spans: true,
             timeseries_every: args.timeseries_out.as_ref().map(|_| 1),
             flight_recorder: Some(4096),
-            tick_profile: false,
         };
         spec.run_observed(obs)
     } else {

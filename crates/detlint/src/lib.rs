@@ -28,7 +28,7 @@
 //! reason:
 //!
 //! ```text
-//! let t0 = Instant::now(); // detlint: allow(wall-clock) -- tick profiler, outside digest
+//! let t0 = Instant::now(); // detlint: allow(wall-clock) -- bench timing, outside digest
 //! ```
 //!
 //! Reason-less or malformed annotations are `bad-allow` findings;

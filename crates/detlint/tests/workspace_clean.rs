@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use dynareg_detlint::{lint_workspace, unallowed};
+use dynareg_detlint::{lint_workspace, unallowed, Rule};
 
 #[test]
 fn workspace_has_zero_unallowed_findings() {
@@ -38,4 +38,22 @@ fn every_allow_in_the_workspace_carries_a_reason() {
             );
         }
     }
+}
+
+#[test]
+fn wall_clock_reads_live_only_in_bench_binaries() {
+    // The simulator library never reads the host clock, not even behind
+    // an allow: timing belongs to the harnesses that report it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let findings = lint_workspace(&root).expect("workspace lints");
+    let stray: Vec<String> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::WallClock && !f.file.starts_with("crates/bench/"))
+        .map(|f| f.to_string())
+        .collect();
+    assert!(
+        stray.is_empty(),
+        "wall-clock reads outside crates/bench/:\n{}",
+        stray.join("\n")
+    );
 }

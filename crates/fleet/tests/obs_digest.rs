@@ -2,7 +2,7 @@
 //!
 //! `ObsConfig::off()` is the default every `run()` uses; turning the full
 //! layer on — spans, per-message fate log, flight-recorder ring, per-tick
-//! timeseries, tick profiler — must not perturb the event stream by one
+//! timeseries — must not perturb the event stream by one
 //! bit. The hooks never consume simulation randomness and never reorder
 //! events, so the fleet digest (history ops + message/churn/verdict
 //! totals) is the proof: identical with observability absent and with it

@@ -1,6 +1,6 @@
 //! Observability configuration and recorders.
 //!
-//! Three building blocks shared by every layer above the simulator:
+//! Two building blocks shared by every layer above the simulator:
 //!
 //! * [`ObsConfig`] — the single switch for the whole observability layer.
 //!   **Off by default and provably free**: an instrumented-off run consumes
@@ -9,13 +9,6 @@
 //!   discipline as `FaultPlan::has_chaos`).
 //! * [`Timeseries`] — a columnar per-tick gauge recorder with a stable
 //!   JSONL export (`dynareg-timeseries/1`) and a round-trip parser.
-//! * [`TickProfile`] — wall-clock accounting per simulator phase
-//!   (delivery, timers, churn, workload, gauge sampling), the measurement
-//!   base for the multi-core tick refactor. Wall-clock never feeds back
-//!   into simulated time, so profiling cannot change a run either.
-
-use std::fmt;
-use std::time::Duration;
 
 /// Master switch for the observability layer.
 ///
@@ -41,8 +34,6 @@ pub struct ObsConfig {
     /// Keep a flight recorder: a ring buffer retaining the most recent
     /// `n` trace entries, auto-dumped when a run fails a verdict.
     pub flight_recorder: Option<usize>,
-    /// Measure wall-clock time per tick phase into a [`TickProfile`].
-    pub tick_profile: bool,
 }
 
 impl ObsConfig {
@@ -52,7 +43,6 @@ impl ObsConfig {
             spans: false,
             timeseries_every: None,
             flight_recorder: None,
-            tick_profile: false,
         }
     }
 
@@ -63,16 +53,12 @@ impl ObsConfig {
             spans: true,
             timeseries_every: Some(1),
             flight_recorder: Some(4096),
-            tick_profile: true,
         }
     }
 
     /// Whether every recorder is disabled.
     pub const fn is_off(&self) -> bool {
-        !self.spans
-            && self.timeseries_every.is_none()
-            && self.flight_recorder.is_none()
-            && !self.tick_profile
+        !self.spans && self.timeseries_every.is_none() && self.flight_recorder.is_none()
     }
 }
 
@@ -293,113 +279,6 @@ fn field(line: &str, key: &str) -> Result<String, String> {
     Ok(rest[..end].to_string())
 }
 
-/// The simulator phase a slice of wall-clock time is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TickPhase {
-    /// Message delivery (unicast and broadcast fan-out expansion).
-    Deliver,
-    /// Protocol timer firings.
-    Timer,
-    /// Membership movement: scripted enter/leave plus stochastic churn.
-    Churn,
-    /// Client workload generation (op invocations).
-    Workload,
-    /// Gauge sampling and checker feed (window samples, timeseries rows).
-    Sample,
-}
-
-/// Wall-clock accounting per tick phase.
-///
-/// Purely diagnostic: durations are measured around the simulator's
-/// dispatch sites and never influence simulated time, so profiles vary
-/// run-to-run while the event stream stays byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TickProfile {
-    /// Seconds spent delivering messages.
-    pub deliver_secs: f64,
-    /// Seconds spent firing protocol timers.
-    pub timer_secs: f64,
-    /// Seconds spent applying scripted membership and stochastic churn.
-    pub churn_secs: f64,
-    /// Seconds spent generating client workload.
-    pub workload_secs: f64,
-    /// Seconds spent sampling gauges / feeding checker windows.
-    pub sample_secs: f64,
-    /// Deliver events dispatched.
-    pub deliver_events: u64,
-    /// Timer events dispatched.
-    pub timer_events: u64,
-    /// Ticks processed.
-    pub ticks: u64,
-}
-
-impl TickProfile {
-    /// Adds `elapsed` to the bucket for `phase`.
-    pub fn add(&mut self, phase: TickPhase, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        match phase {
-            TickPhase::Deliver => {
-                self.deliver_secs += secs;
-                self.deliver_events += 1;
-            }
-            TickPhase::Timer => {
-                self.timer_secs += secs;
-                self.timer_events += 1;
-            }
-            TickPhase::Churn => self.churn_secs += secs,
-            TickPhase::Workload => self.workload_secs += secs,
-            TickPhase::Sample => self.sample_secs += secs,
-        }
-    }
-
-    /// Total measured seconds across all phases.
-    pub fn total_secs(&self) -> f64 {
-        self.deliver_secs
-            + self.timer_secs
-            + self.churn_secs
-            + self.workload_secs
-            + self.sample_secs
-    }
-
-    /// One-line JSON object (no trailing newline) for embedding in bench
-    /// artifacts.
-    pub fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"deliver_secs\": {:.6}, \"timer_secs\": {:.6}, ",
-                "\"churn_secs\": {:.6}, \"workload_secs\": {:.6}, ",
-                "\"sample_secs\": {:.6}, \"deliver_events\": {}, ",
-                "\"timer_events\": {}, \"ticks\": {}}}"
-            ),
-            self.deliver_secs,
-            self.timer_secs,
-            self.churn_secs,
-            self.workload_secs,
-            self.sample_secs,
-            self.deliver_events,
-            self.timer_events,
-            self.ticks,
-        )
-    }
-}
-
-impl fmt::Display for TickProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "deliver {:.3}s ({} ev) | timers {:.3}s ({} ev) | churn {:.3}s | workload {:.3}s | sample {:.3}s over {} ticks",
-            self.deliver_secs,
-            self.deliver_events,
-            self.timer_secs,
-            self.timer_events,
-            self.churn_secs,
-            self.workload_secs,
-            self.sample_secs,
-            self.ticks,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,10 +298,6 @@ mod tests {
             },
             ObsConfig {
                 flight_recorder: Some(64),
-                ..ObsConfig::off()
-            },
-            ObsConfig {
-                tick_profile: true,
                 ..ObsConfig::off()
             },
         ] {
@@ -471,22 +346,5 @@ mod tests {
             "{{\"schema\":\"{TIMESERIES_SCHEMA}\",\"every\":1,\"columns\":[\"a\"]}}\n{{\"t\":0,\"v\":[1,2]}}\n"
         );
         assert!(Timeseries::parse_jsonl(&bad_row).is_err());
-    }
-
-    #[test]
-    fn tick_profile_accumulates_by_phase() {
-        let mut p = TickProfile::default();
-        p.add(TickPhase::Deliver, Duration::from_millis(2));
-        p.add(TickPhase::Deliver, Duration::from_millis(1));
-        p.add(TickPhase::Timer, Duration::from_millis(4));
-        p.add(TickPhase::Churn, Duration::from_millis(8));
-        p.ticks = 3;
-        assert_eq!(p.deliver_events, 2);
-        assert_eq!(p.timer_events, 1);
-        assert!((p.total_secs() - 0.015).abs() < 1e-9);
-        let json = p.json();
-        assert!(json.contains("\"deliver_events\": 2"));
-        assert!(json.contains("\"ticks\": 3"));
-        assert!(p.to_string().contains("over 3 ticks"));
     }
 }

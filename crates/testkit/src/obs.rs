@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dynareg_net::{MsgRecord, SendFate};
-use dynareg_sim::obs::{TickProfile, Timeseries};
+use dynareg_sim::obs::Timeseries;
 use dynareg_sim::{NodeId, OpId, RegisterId, Time};
 
 pub use dynareg_sim::obs::ObsConfig;
@@ -236,8 +236,6 @@ pub struct ObsReport {
     pub msgs: Vec<MsgInfo>,
     /// The per-tick gauge timeseries, if recording was enabled.
     pub timeseries: Option<Timeseries>,
-    /// Wall-clock accounting per tick phase, if profiling was enabled.
-    pub tick_profile: Option<TickProfile>,
 }
 
 impl ObsReport {
@@ -372,7 +370,6 @@ pub(crate) struct WorldObs {
     dropped_departed: HashMap<u64, Time>,
     pub(crate) cause: Cause,
     pub(crate) timeseries: Option<Timeseries>,
-    pub(crate) profile: TickProfile,
 }
 
 impl WorldObs {
@@ -388,7 +385,6 @@ impl WorldObs {
             dropped_departed: HashMap::new(),
             cause: Cause::None,
             timeseries: cfg.timeseries_every.map(Timeseries::new),
-            profile: TickProfile::default(),
         }
     }
 
@@ -577,11 +573,6 @@ impl WorldObs {
             spans: self.spans,
             msgs,
             timeseries: self.timeseries,
-            tick_profile: if self.cfg.tick_profile {
-                Some(self.profile)
-            } else {
-                None
-            },
         }
     }
 }
@@ -747,7 +738,7 @@ mod tests {
     #[test]
     fn spans_off_records_nothing() {
         let mut obs = WorldObs::new(ObsConfig {
-            tick_profile: true,
+            flight_recorder: Some(64),
             ..ObsConfig::off()
         });
         obs.op_invoked(
@@ -764,6 +755,5 @@ mod tests {
         assert!(report.spans.is_empty());
         assert!(report.msgs.is_empty());
         assert!(report.timeseries.is_none());
-        assert!(report.tick_profile.is_some());
     }
 }

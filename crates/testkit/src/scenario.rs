@@ -143,9 +143,8 @@ pub struct RunReport {
     /// The first δ-overrun as `(when, from, to, effective latency)`, for
     /// the diagnostic line experiment binaries print.
     pub delta_overrun_example: Option<(Time, NodeId, NodeId, Span)>,
-    /// The observability report (op spans, message fates, timeseries,
-    /// tick profile); present only for [`ScenarioSpec::run_observed`]
-    /// runs.
+    /// The observability report (op spans, message fates, timeseries);
+    /// present only for [`ScenarioSpec::run_observed`] runs.
     pub obs: Option<ObsReport>,
 }
 
@@ -181,12 +180,6 @@ impl RunReport {
     /// Always zero on a lossless run whose handshakes complete in time.
     pub fn join_retransmits(&self) -> u64 {
         self.metrics.counter("join.retransmits")
-    }
-
-    /// Wall-clock tick-phase profile, if the run was observed with
-    /// [`ObsConfig::tick_profile`] on.
-    pub fn tick_profile(&self) -> Option<&dynareg_sim::obs::TickProfile> {
-        self.obs.as_ref()?.tick_profile.as_ref()
     }
 
     /// Completed reads attributed to one register (the key-attributed
@@ -590,10 +583,9 @@ impl ScenarioSpec {
 
     /// Runs the spec with the observability layer on: the returned
     /// report carries [`RunReport::obs`] (op spans with message fates,
-    /// timeseries, tick profile). The observed run's event stream is
-    /// byte-identical to [`ScenarioSpec::run`]'s — observability never
-    /// consumes randomness or reorders events (the digest-identity
-    /// property tests pin this).
+    /// timeseries). The observed run's event stream is byte-identical to
+    /// [`ScenarioSpec::run`]'s — observability never consumes randomness
+    /// or reorders events (the digest-identity property tests pin this).
     pub fn run_observed(&self, obs: ObsConfig) -> RunReport {
         self.dispatch(false, obs)
     }

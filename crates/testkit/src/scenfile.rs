@@ -13,7 +13,9 @@
 //! Blank lines are ignored and `#` starts a comment anywhere on a line.
 //! Every other line is `directive arg…`, whitespace-separated; later
 //! duplicates win. Times are in ticks, `max` meaning "forever"; endpoints
-//! are raw node ids, `any` meaning "unfiltered".
+//! are raw node ids, `any` meaning "unfiltered". Fault windows are
+//! half-open, `[t0, t1)`, and must satisfy `t0 ≤ t1`: an inverted window
+//! is a line-numbered error, `t0 == t1` an empty window.
 //!
 //! ```text
 //! dynareg-scenario/1
@@ -295,6 +297,19 @@ fn time_of(lineno: usize, s: &str) -> Result<Time, ScenError> {
     } else {
         Ok(Time::at(num(lineno, s, "time")?))
     }
+}
+
+/// A half-open fault window `[t0, t1)`: `t0 == t1` is an empty window,
+/// `t1 < t0` is rejected rather than left to silently never fire.
+fn window_of(lineno: usize, t0: &str, t1: &str) -> Result<(Time, Time), ScenError> {
+    let (from, until) = (time_of(lineno, t0)?, time_of(lineno, t1)?);
+    if until < from {
+        return Err(ScenError::new(
+            lineno,
+            format!("fault window ends before it starts ({t1} < {t0})"),
+        ));
+    }
+    Ok((from, until))
 }
 
 fn node_of(lineno: usize, s: &str) -> Result<Option<NodeId>, ScenError> {
@@ -688,18 +703,18 @@ fn parse_fault(lineno: usize, toks: &[&str], plan: &mut FaultPlan) -> Result<(),
                     ))
                 }
             };
+            let (from_time, until_time) = window_of(lineno, toks[4], toks[5])?;
             plan.push(DelayFault {
                 from: node_of(lineno, toks[2])?,
                 to: node_of(lineno, toks[3])?,
-                from_time: time_of(lineno, toks[4])?,
-                until_time: time_of(lineno, toks[5])?,
+                from_time,
+                until_time,
                 action,
             });
             Ok(())
         }
         Some("partition") if toks.len() >= 5 => {
-            let from_time = time_of(lineno, toks[2])?;
-            let until_time = time_of(lineno, toks[3])?;
+            let (from_time, until_time) = window_of(lineno, toks[2], toks[3])?;
             let side_a =
                 match (toks[4], toks.len()) {
                     ("mod", 7) => {
@@ -729,11 +744,12 @@ fn parse_fault(lineno: usize, toks: &[&str], plan: &mut FaultPlan) -> Result<(),
             Ok(())
         }
         Some("drop") if toks.len() == 7 => {
+            let (from_time, until_time) = window_of(lineno, toks[4], toks[5])?;
             plan.push_drop(DropRule {
                 from: node_of(lineno, toks[2])?,
                 to: node_of(lineno, toks[3])?,
-                from_time: time_of(lineno, toks[4])?,
-                until_time: time_of(lineno, toks[5])?,
+                from_time,
+                until_time,
                 probability: rate_of(lineno, toks[6], "drop probability")?,
             });
             Ok(())
@@ -885,6 +901,36 @@ seed 2      # last one wins
             "dynareg-scenario/1\nprotocol sync\nnet sync\nn 5\ndelta 2\nregion-delay 0 1 4\n";
         let err = parse_scenario(orphan).unwrap_err();
         assert!(err.msg.contains("regions"), "{err}");
+    }
+
+    fn fault_line_error(line: &str) -> Option<ScenError> {
+        let text = format!("dynareg-scenario/1\nprotocol sync\nnet sync\nn 5\ndelta 2\n{line}\n");
+        parse_scenario(&text).err()
+    }
+
+    #[test]
+    fn inverted_delay_window_is_rejected() {
+        let err = fault_line_error("fault delay any any 200 0 add 3").expect("t1 < t0");
+        assert_eq!(err.line, 6);
+        assert!(err.msg.contains("ends before it starts"), "{err}");
+        assert!(fault_line_error("fault delay any any 50 50 add 3").is_none());
+    }
+
+    #[test]
+    fn inverted_partition_window_is_rejected() {
+        let err = fault_line_error("fault partition 200 0 mod 2 0").expect("t1 < t0");
+        assert_eq!(err.line, 6);
+        assert!(err.msg.contains("ends before it starts"), "{err}");
+        assert!(fault_line_error("fault partition 50 50 mod 2 0").is_none());
+    }
+
+    #[test]
+    fn inverted_drop_window_is_rejected() {
+        let err = fault_line_error("fault drop any any 200 0 0.5").expect("t1 < t0");
+        assert_eq!(err.line, 6);
+        assert!(err.msg.contains("ends before it starts"), "{err}");
+        assert!(fault_line_error("fault drop any any 50 50 0.5").is_none());
+        assert!(fault_line_error("fault drop any any 50 max 0.5").is_none());
     }
 
     #[test]

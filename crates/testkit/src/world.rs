@@ -47,7 +47,6 @@ use dynareg_core::space::{RegisterSpaceProcess, SpaceEffect};
 use dynareg_core::OpOutcome;
 use dynareg_net::{Fanout, Network, Presence};
 use dynareg_sim::metrics::Metrics;
-use dynareg_sim::obs::TickPhase;
 use dynareg_sim::trace::{TraceEvent, TraceLog};
 use dynareg_sim::{DetRng, EventQueue, NodeId, OpId, RegisterId, Span, Time};
 use dynareg_verify::{History, SpaceHistory};
@@ -435,9 +434,9 @@ where
     }
 
     /// Extracts the observability report (spans with resolved message
-    /// fates, timeseries, tick profile), detaching the collector. Call
-    /// before [`World::into_space_outputs`]; returns `None` if no
-    /// observability was installed.
+    /// fates, timeseries), detaching the collector. Call before
+    /// [`World::into_space_outputs`]; returns `None` if no observability
+    /// was installed.
     pub fn take_obs_report(&mut self) -> Option<ObsReport> {
         let obs = self.obs.take()?;
         let log = self.network.take_msg_log();
@@ -518,10 +517,6 @@ where
     /// Runs the world until (and including) `end`.
     pub fn run_until(&mut self, end: Time) {
         self.end = end;
-        if self.obs.as_deref().is_some_and(|o| o.cfg.tick_profile) {
-            self.run_until_profiled(end);
-            return;
-        }
         while let Some(t) = self.queue.peek_time() {
             if t > end {
                 break;
@@ -543,54 +538,6 @@ where
             }
         }
         self.now = end;
-    }
-
-    /// The profiled twin of the main loop: identical dispatch, plus a
-    /// wall-clock stamp around each event class. Kept separate so the
-    /// unprofiled path carries no `Instant` reads.
-    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
-    fn run_until_profiled(&mut self, end: Time) {
-        use std::time::Instant;
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            self.now = ev.time;
-            match ev.payload {
-                Pending::Deliver {
-                    from,
-                    to,
-                    slot,
-                    label,
-                    seq,
-                    msg,
-                } => {
-                    let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-                    self.handle_delivery(from, to, slot, label, seq, msg);
-                    self.profile_add(TickPhase::Deliver, t0.elapsed());
-                }
-                Pending::Fan { fan, idx, slot } => {
-                    let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-                    self.handle_fan(fan, idx, slot);
-                    self.profile_add(TickPhase::Deliver, t0.elapsed());
-                }
-                Pending::Timer { node, slot, tag } => {
-                    let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-                    self.handle_timer(node, slot, tag);
-                    self.profile_add(TickPhase::Timer, t0.elapsed());
-                }
-                Pending::Tick => self.handle_tick_profiled(),
-            }
-        }
-        self.now = end;
-    }
-
-    #[inline]
-    fn profile_add(&mut self, phase: TickPhase, elapsed: std::time::Duration) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.profile.add(phase, elapsed);
-        }
     }
 
     fn handle_fan(
@@ -715,34 +662,6 @@ where
         self.apply_workload();
         self.sample_gauges();
         self.obs_tick_row();
-        let next = self.now + Span::UNIT;
-        if next <= self.end {
-            self.queue.schedule_class(next, CLASS_TICK, Pending::Tick);
-        }
-    }
-
-    /// The profiled twin of [`World::handle_tick`]: same work, with each
-    /// sub-phase (membership, workload, sampling) stamped separately.
-    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
-    fn handle_tick_profiled(&mut self) {
-        use std::time::Instant;
-        let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        self.apply_scripted_membership();
-        if self.now > Time::ZERO {
-            self.apply_churn();
-        }
-        let t1 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        self.apply_workload();
-        let t2 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        self.sample_gauges();
-        self.obs_tick_row();
-        let t3 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.profile.add(TickPhase::Churn, t1 - t0);
-            obs.profile.add(TickPhase::Workload, t2 - t1);
-            obs.profile.add(TickPhase::Sample, t3 - t2);
-            obs.profile.ticks += 1;
-        }
         let next = self.now + Span::UNIT;
         if next <= self.end {
             self.queue.schedule_class(next, CLASS_TICK, Pending::Tick);

@@ -34,7 +34,6 @@ fn why_stuck_names_the_dropped_join_messages_in_the_lossy_es_wedge() {
         spans: true,
         timeseries_every: None,
         flight_recorder: Some(4096),
-        tick_profile: false,
     });
 
     let obs = report.obs.as_ref().expect("observed run carries a report");
@@ -114,12 +113,6 @@ fn clean_run_spans_complete_with_ordered_phases() {
         join.phases.iter().any(|p| p.phase == OpPhase::Sent),
         "the join's inquiry send was recorded"
     );
-
-    // The profiler ran (ObsConfig::full() turns it on) and accounted the
-    // run's ticks.
-    let profile = report.tick_profile().expect("full obs profiles ticks");
-    assert_eq!(profile.ticks, 201, "one profiled tick per instant 0..=200");
-    assert!(profile.deliver_events > 0);
 }
 
 /// The timeseries export: golden header, deterministic cadence, and a
@@ -133,7 +126,6 @@ fn timeseries_jsonl_round_trips_and_matches_golden_header() {
             spans: false,
             timeseries_every: Some(5),
             flight_recorder: None,
-            tick_profile: false,
         });
     let obs = report.obs.as_ref().expect("observed run carries a report");
     let ts = obs.timeseries.as_ref().expect("recorder was on");
@@ -168,7 +160,6 @@ fn flight_ring_bounds_retained_trace_and_counts_evictions() {
             spans: false,
             timeseries_every: None,
             flight_recorder: Some(64),
-            tick_profile: false,
         });
     assert_eq!(report.trace.len(), 64, "ring fills to its capacity");
     assert!(

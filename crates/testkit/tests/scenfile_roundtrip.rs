@@ -44,15 +44,22 @@ fn arb_node_set(rng: &mut DetRng) -> NodeSet {
     }
 }
 
+/// An ordered fault window, `t0 ≤ t1`: the format rejects inverted ones.
+fn arb_window(rng: &mut DetRng) -> (Time, Time) {
+    let (a, b) = (arb_time(rng), arb_time(rng));
+    (a.min(b), a.max(b))
+}
+
 fn arb_plan(rng: &mut DetRng) -> FaultPlan {
     let mut plan = FaultPlan::default();
     for _ in 0..rng.pick(3) {
         let span = Span::ticks(1 + rng.pick(20));
+        let (from_time, until_time) = arb_window(rng);
         plan.push(DelayFault {
             from: arb_node(rng),
             to: arb_node(rng),
-            from_time: arb_time(rng),
-            until_time: arb_time(rng),
+            from_time,
+            until_time,
             action: if rng.chance(0.5) {
                 FaultAction::AddDelay(span)
             } else {
@@ -61,18 +68,16 @@ fn arb_plan(rng: &mut DetRng) -> FaultPlan {
         });
     }
     for _ in 0..rng.pick(3) {
-        plan.push_partition(Partition::new(
-            arb_node_set(rng),
-            arb_time(rng),
-            arb_time(rng),
-        ));
+        let (from_time, until_time) = arb_window(rng);
+        plan.push_partition(Partition::new(arb_node_set(rng), from_time, until_time));
     }
     for _ in 0..rng.pick(3) {
+        let (from_time, until_time) = arb_window(rng);
         plan.push_drop(DropRule {
             from: arb_node(rng),
             to: arb_node(rng),
-            from_time: arb_time(rng),
-            until_time: arb_time(rng),
+            from_time,
+            until_time,
             probability: rng.unit(),
         });
     }
